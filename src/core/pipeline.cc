@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <numeric>
 
 #include "common/stopwatch.h"
@@ -11,7 +10,6 @@
 #include "core/autofis.h"
 #include "core/fixed_arch_model.h"
 #include "obs/timeline.h"
-#include "train/pipeline_executor.h"
 
 namespace optinter {
 
@@ -49,6 +47,34 @@ obs::SearchEpochDynamics SnapshotSearchDynamics(
   return d;
 }
 
+void AlphaFlipSampler::Step(size_t epoch) {
+  ++step_;
+  if (dynamics_->sample_every == 0 || step_ % dynamics_->sample_every != 0) {
+    return;
+  }
+  const Architecture cur = model_.ExtractArchitecture();
+  if (!sampled_.empty()) {
+    for (size_t p = 0; p < cur.size(); ++p) {
+      if (cur[p] == sampled_[p]) continue;
+      obs::AlphaFlipEvent ev;
+      ev.epoch = epoch;
+      ev.step = step_;
+      ev.pair = p;
+      ev.from = static_cast<int>(sampled_[p]);
+      ev.to = static_cast<int>(cur[p]);
+      if (obs::Timeline::Enabled()) {
+        char detail[obs::Timeline::kDetailCapacity];
+        std::snprintf(detail, sizeof(detail), "pair=%zu %s->%s", p,
+                      obs::AlphaMethodName(ev.from),
+                      obs::AlphaMethodName(ev.to));
+        obs::Timeline::RecordInstant("alpha_flip", detail);
+      }
+      dynamics_->flip_events.push_back(ev);
+    }
+  }
+  sampled_ = cur;
+}
+
 SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
                             const HyperParams& hp,
                             const SearchOptions& options) {
@@ -63,109 +89,43 @@ SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
   arch_batcher.StartEpoch();
 
   SearchResult result;
-  Architecture prev_arch;  // empty until the first epoch snapshot
-  const size_t epochs = std::max<size_t>(1, options.search_epochs);
-  // Joint mode pipelines Θ+α steps; bi-level interleaves a serial ArchStep
-  // per batch, so overlapping the next prepare would change nothing and
-  // complicate the fence story.
-  const bool use_pipeline = options.pipeline &&
-                            options.mode == UpdateMode::kJoint &&
-                            model.SupportsPhasedTrainStep();
-  std::unique_ptr<PipelinedTrainExecutor> executor;
-  if (use_pipeline) executor = std::make_unique<PipelinedTrainExecutor>(&model);
-  // Within-epoch α sampling: every K steps, diff the argmax architecture
-  // against the previous sample and record flips. Runs at step quiescent
-  // points (on_step on the pipelined path, between steps on the serial
-  // one), so it observes the same α state a checkpoint would.
   result.dynamics.sample_every = options.alpha_sample_every;
-  size_t global_step = 0;
+  AlphaFlipSampler sampler(model, &result.dynamics);
+  Architecture prev_arch;  // empty until the first epoch snapshot
   size_t current_epoch = 0;
-  Architecture sampled_arch;
-  auto sample_alpha = [&] {
-    ++global_step;
-    if (options.alpha_sample_every == 0 ||
-        global_step % options.alpha_sample_every != 0) {
-      return;
-    }
-    const Architecture cur = model.ExtractArchitecture();
-    if (!sampled_arch.empty()) {
-      for (size_t p = 0; p < cur.size(); ++p) {
-        if (cur[p] == sampled_arch[p]) continue;
-        obs::AlphaFlipEvent ev;
-        ev.epoch = current_epoch;
-        ev.step = global_step;
-        ev.pair = p;
-        ev.from = static_cast<int>(sampled_arch[p]);
-        ev.to = static_cast<int>(cur[p]);
-        if (obs::Timeline::Enabled()) {
-          char detail[obs::Timeline::kDetailCapacity];
-          std::snprintf(detail, sizeof(detail), "pair=%zu %s->%s", p,
-                        obs::AlphaMethodName(ev.from),
-                        obs::AlphaMethodName(ev.to));
-          obs::Timeline::RecordInstant("alpha_flip", detail);
-        }
-        result.dynamics.flip_events.push_back(ev);
-      }
-    }
-    sampled_arch = cur;
-  };
-  for (size_t epoch = 0; epoch < epochs; ++epoch) {
+  TrainOptions loop_options;
+  loop_options.epochs = std::max<size_t>(1, options.search_epochs);
+  // Bi-level interleaves a serial ArchStep per batch, so overlapping the
+  // next prepare would change nothing and complicate the fence story.
+  loop_options.pipeline =
+      options.pipeline && options.mode == UpdateMode::kJoint;
+  auto anneal = [&](size_t epoch) {
     current_epoch = epoch;
-    if (options.anneal_temperature) {
-      const float frac =
-          epochs > 1 ? static_cast<float>(epoch) /
-                           static_cast<float>(epochs - 1)
-                     : 1.0f;
-      model.SetTemperature(hp.gumbel_temp_start +
-                           frac * (hp.gumbel_temp_end -
-                                   hp.gumbel_temp_start));
-    }
-    Stopwatch epoch_timer;
-    train_batcher.StartEpoch();
-    double loss_sum = 0.0;
-    size_t batches = 0;
-    size_t rows_seen = 0;
-    if (use_pipeline) {
-      const PipelinedTrainExecutor::EpochStats stats =
-          executor->RunEpoch(&train_batcher, sample_alpha);
-      loss_sum = stats.loss_sum;
-      batches = stats.batches;
-      rows_seen = stats.rows;
-    } else {
-      for (;;) {
-        Batch b = train_batcher.Next();
-        if (b.size == 0) break;
-        loss_sum += model.TrainStep(b);
-        rows_seen += b.size;
-        ++batches;
-        if (options.mode == UpdateMode::kBilevel) {
-          Batch vb = arch_batcher.Next();
-          if (vb.size == 0) {
-            arch_batcher.StartEpoch();
-            vb = arch_batcher.Next();
-          }
-          model.ArchStep(vb);
-        }
-        sample_alpha();
+    if (!options.anneal_temperature) return;
+    const size_t epochs = loop_options.epochs;
+    const float frac = epochs > 1 ? static_cast<float>(epoch) /
+                                        static_cast<float>(epochs - 1)
+                                  : 1.0f;
+    model.SetTemperature(hp.gumbel_temp_start +
+                         frac * (hp.gumbel_temp_end - hp.gumbel_temp_start));
+  };
+  auto after_step = [&] {
+    if (options.mode == UpdateMode::kBilevel) {
+      Batch vb = arch_batcher.Next();
+      if (vb.size == 0) {
+        arch_batcher.StartEpoch();
+        vb = arch_batcher.Next();
       }
+      model.ArchStep(vb);
     }
-    EpochTelemetry et;
-    et.epoch = epoch;
-    et.train_seconds = epoch_timer.Elapsed();
-    et.train_rows_per_sec =
-        et.train_seconds > 0.0
-            ? static_cast<double>(rows_seen) / et.train_seconds
-            : 0.0;
-    et.mean_train_loss =
-        batches ? loss_sum / static_cast<double>(batches) : 0.0;
-    result.telemetry.train_seconds_total += et.train_seconds;
-    result.telemetry.epochs.push_back(et);
-
+    sampler.Step(current_epoch);
+  };
+  auto snapshot = [&](const EpochTelemetry& et) {
     const Architecture epoch_arch = model.ExtractArchitecture();
     obs::SearchEpochDynamics dyn =
-        SnapshotSearchDynamics(model, epoch, prev_arch, epoch_arch);
+        SnapshotSearchDynamics(model, et.epoch, prev_arch, epoch_arch);
     if (options.verbose) {
-      LOG_INFO() << model.Name() << " search epoch " << epoch
+      LOG_INFO() << model.Name() << " search epoch " << et.epoch
                  << " loss=" << et.mean_train_loss
                  << " tau=" << model.temperature()
                  << " train_s=" << et.train_seconds
@@ -177,7 +137,13 @@ SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
     }
     result.dynamics.epochs.push_back(std::move(dyn));
     prev_arch = epoch_arch;
-  }
+  };
+  // No validation per epoch: the search stage scores only its final model.
+  Result<TrainSummary> summary =
+      RunEpochLoop(&model, &train_batcher, nullptr, nullptr, loop_options,
+                   anneal, after_step, snapshot);
+  CHECK_OK(summary.status());  // in-RAM batches cannot fail
+  result.telemetry = std::move(summary->telemetry);
 
   result.arch = model.ExtractArchitecture();
   {
@@ -189,14 +155,6 @@ SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
       result.search_test = EvaluateModel(&model, data, splits.test);
     }
     result.telemetry.eval_seconds_total = eval_timer.Elapsed();
-  }
-  if (result.telemetry.train_seconds_total > 0.0) {
-    double rows_total = 0.0;
-    for (const EpochTelemetry& et : result.telemetry.epochs) {
-      rows_total += et.train_rows_per_sec * et.train_seconds;
-    }
-    result.telemetry.train_rows_per_sec =
-        rows_total / result.telemetry.train_seconds_total;
   }
   result.seconds = timer.Elapsed();
   return result;

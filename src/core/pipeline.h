@@ -67,6 +67,26 @@ obs::SearchEpochDynamics SnapshotSearchDynamics(const SearchModel& model,
                                                 const Architecture& prev_arch,
                                                 const Architecture& arch);
 
+/// Within-epoch α sampling (SearchOptions::alpha_sample_every). Call
+/// Step() after every train step at a quiescent point; every
+/// dynamics->sample_every steps (0 = never) it diffs the argmax
+/// architecture against the previous sample and appends each per-pair
+/// flip to dynamics->flip_events (and as an `alpha_flip` timeline instant
+/// when OPTINTER_OBS_TIMELINE is set). Used by RunSearchStage; exposed for
+/// drivers that run their own search loop.
+class AlphaFlipSampler {
+ public:
+  AlphaFlipSampler(const SearchModel& model, obs::SearchDynamics* dynamics)
+      : model_(model), dynamics_(dynamics) {}
+  void Step(size_t epoch);
+
+ private:
+  const SearchModel& model_;
+  obs::SearchDynamics* dynamics_;
+  size_t step_ = 0;
+  Architecture sampled_;
+};
+
 /// Full OptInter run: search + re-train from scratch.
 struct OptInterResult {
   SearchResult search;

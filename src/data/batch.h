@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "data/dataset.h"
 
 namespace optinter {
@@ -65,6 +66,10 @@ class BatchSource {
   virtual Batch Next() = 0;
   /// Rows per full epoch.
   virtual size_t num_rows() const = 0;
+  /// Why the epoch ended: an empty batch ends it both at exhaustion and on
+  /// a data error, and only this tells them apart. In-RAM sources never
+  /// fail.
+  virtual Status status() const { return Status::OK(); }
 };
 
 /// Yields shuffled mini-batches over a fixed index set, reshuffling each

@@ -1,6 +1,8 @@
 #include "data/csv_loader.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <fstream>
 
 #include "common/string_util.h"
@@ -116,6 +118,12 @@ Result<RawDataset> LoadCsvDataset(const std::string& path,
           char* end = nullptr;
           const double parsed = std::strtod(cell.c_str(), &end);
           if (end != cell.c_str() && *end == '\0') {
+            // strtod accepts nan/inf and overflows to inf; false for NaN.
+            if (!(std::fabs(parsed) <= std::numeric_limits<float>::max())) {
+              return Status::Invalid(StrFormat(
+                  "line %zu: field '%s' value '%s' is not a finite float",
+                  line_number, schema.field(f).name.c_str(), cell.c_str()));
+            }
             v = static_cast<float>(parsed);
           }
         }

@@ -23,7 +23,8 @@ struct CsvOptions {
   std::string label_column = "label";
   /// Treat empty categorical cells as this sentinel value.
   std::string missing_token = "__missing__";
-  /// Value used when a continuous cell is empty or unparseable.
+  /// Value used when a continuous cell is empty or unparseable. A cell
+  /// that parses to NaN, Inf or beyond float range fails the load.
   float missing_value = 0.0f;
   /// Maximum rows to read (0 = all).
   size_t max_rows = 0;

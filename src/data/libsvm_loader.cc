@@ -1,6 +1,8 @@
 #include "data/libsvm_loader.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <fstream>
 
 #include "common/string_util.h"
@@ -119,6 +121,13 @@ Result<RawDataset> LoadLibsvmDataset(
         cat_row[slot_of[f]] =
             static_cast<int64_t>(index - fields[f].begin);
       } else {
+        // strtod accepts nan/inf and overflows to inf; false for NaN.
+        if (!(std::fabs(value) <= std::numeric_limits<float>::max())) {
+          return Status::Invalid(StrFormat(
+              "line %zu: field '%s' value '%s' is not a finite float",
+              line_number, fields[f].name.c_str(),
+              tokens[t].c_str() + colon + 1));
+        }
         cont_row[slot_of[f]] = static_cast<float>(value);
       }
     }

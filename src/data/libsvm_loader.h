@@ -8,7 +8,7 @@
 // with contiguous per-field index ranges (e.g. indices [0, 1000) are
 // field 0's values, [1000, 1400) field 1's, ...). Given those ranges,
 // each line maps back to one categorical value per field; continuous
-// fields carry their value directly.
+// fields carry their value directly, which must be a finite float.
 
 #pragma once
 

@@ -165,10 +165,8 @@ class StreamingBatcher : public BatchSource {
   Batch Next() override;
   size_t num_rows() const override { return end_ - begin_; }
 
-  /// Sticky error. Next() returns an empty batch both at epoch end and on
-  /// failure; callers distinguish the two here. Once set, subsequent
-  /// epochs refuse to start.
-  const Status& status() const { return status_; }
+  /// Sticky: once set, subsequent epochs refuse to start.
+  Status status() const override { return status_; }
 
  private:
   struct Slot {

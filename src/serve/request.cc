@@ -1,5 +1,7 @@
 #include "serve/request.h"
 
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace optinter {
@@ -75,6 +77,14 @@ Status RequestArena::Append(const PredictRequest& request) {
     return Status::Invalid(StrFormat(
         "request has %zu triple ids, deployed feature space expects %zu",
         request.triple_ids.size(), num_triples));
+  }
+  // NaN or Inf would pass through the scaled inputs into the MLP.
+  for (size_t f = 0; f < num_cont; ++f) {
+    if (!std::isfinite(request.cont_values[f])) {
+      return Status::Invalid(StrFormat(
+          "continuous field %zu value %g is not finite", f,
+          static_cast<double>(request.cont_values[f])));
+    }
   }
   // Range-check every id against the deployed vocabularies so a stale or
   // mis-encoded request surfaces as a rejected request, not as a CHECK

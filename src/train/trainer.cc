@@ -7,27 +7,12 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "metrics/metrics.h"
-#include "obs/http_exporter.h"
 #include "obs/registry.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "train/pipeline_executor.h"
 
 namespace optinter {
-
-namespace {
-obs::Counter* TrainRowsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("train.rows");
-  return c;
-}
-
-obs::Counter* EvalRowsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global().GetCounter("eval.rows");
-  return c;
-}
-}  // namespace
 
 bool ScoreImproved(double score, double best_score, StopMetric metric) {
   // Log loss: 1e-6 absolute is below any meaningful calibration change at
@@ -57,7 +42,7 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
            "implement the overload";
   }
   const size_t n = rows.size();
-  EvalRowsCounter()->Add(n);
+  obs::MetricsRegistry::Global().GetCounter("eval.rows")->Add(n);
   std::vector<float> all_probs(n);
   std::vector<float> all_labels(n);
   // Labels are pure dataset reads, independent of the model — gather them
@@ -126,30 +111,18 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
   return EvaluateModel(model, data, rows, options);
 }
 
-TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
-                        const Splits& splits, const TrainOptions& options) {
-  CHECK(!splits.train.empty());
+Result<TrainSummary> RunEpochLoop(
+    CtrModel* model, BatchSource* source, const EvalFn& eval_val,
+    const EvalFn& eval_test, const TrainOptions& options,
+    const std::function<void(size_t epoch)>& before_epoch,
+    const std::function<void()>& after_step,
+    const std::function<void(const EpochTelemetry&)>& after_epoch) {
   Stopwatch timer;
-  // Optional live scrape endpoint for the duration of the run. Failure to
-  // bind must never abort training.
-  std::unique_ptr<obs::HttpExporter> metrics_exporter;
-  if (options.metrics_port >= 0) {
-    obs::HttpExporterOptions exporter_options;
-    exporter_options.port = options.metrics_port;
-    metrics_exporter =
-        std::make_unique<obs::HttpExporter>(std::move(exporter_options));
-    std::string error;
-    if (!metrics_exporter->Start(&error)) {
-      LOG_WARNING() << "metrics exporter disabled: " << error;
-      metrics_exporter.reset();
-    } else if (options.verbose) {
-      LOG_INFO() << "metrics exporter on 127.0.0.1:"
-                 << metrics_exporter->port();
-    }
-  }
   TrainSummary summary;
   TrainTelemetry& telemetry = summary.telemetry;
-  Batcher batcher(&data, splits.train, options.batch_size, options.seed);
+  obs::Counter* train_rows =
+      obs::MetricsRegistry::Global().GetCounter("train.rows");
+  size_t rows_total = 0;
   // "Score" is oriented so larger is better regardless of metric.
   double best_val_score = -1e300;
   size_t stale_epochs = 0;
@@ -157,8 +130,7 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
   // the best validation epoch, not the (possibly overfit) last one.
   std::vector<Tensor*> state;
   model->CollectState(&state);
-  std::vector<Tensor> best_state;
-  bool have_snapshot = false;
+  std::vector<Tensor> best_state;  // empty until the first improvement
   // One executor for the whole run so workspace capacity persists across
   // epochs (only the first epoch's first steps may allocate).
   const bool use_pipeline = options.pipeline && model->SupportsPhasedTrainStep();
@@ -167,9 +139,14 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
   auto tick_report = [&] {
     if (options.report != nullptr) options.report->MaybeWriteEvery();
   };
+  auto on_step = [&] {
+    if (after_step) after_step();
+    tick_report();
+  };
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
+    if (before_epoch) before_epoch(epoch);
     Stopwatch epoch_timer;
-    batcher.StartEpoch();
+    source->StartEpoch();
     double loss_sum = 0.0;
     size_t batches = 0;
     size_t rows_seen = 0;
@@ -177,13 +154,13 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
       OPTINTER_TRACE_SPAN("train_epoch");
       if (use_pipeline) {
         const PipelinedTrainExecutor::EpochStats stats =
-            executor->RunEpoch(&batcher, tick_report);
+            executor->RunEpoch(source, on_step);
         loss_sum = stats.loss_sum;
         batches = stats.batches;
         rows_seen = stats.rows;
       } else {
         for (;;) {
-          Batch b = batcher.Next();
+          Batch b = source->Next();
           if (b.size == 0) break;
           {
             OPTINTER_TRACE_SPAN("train_step");
@@ -191,11 +168,15 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
           }
           rows_seen += b.size;
           ++batches;
-          tick_report();
+          on_step();
         }
       }
     }
-    TrainRowsCounter()->Add(rows_seen);
+    // Fail the run rather than report metrics from an epoch a data error
+    // silently shortened.
+    OPTINTER_RETURN_NOT_OK(source->status());
+    train_rows->Add(rows_seen);
+    rows_total += rows_seen;
     const double mean_loss =
         batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
     summary.epoch_train_losses.push_back(mean_loss);
@@ -212,9 +193,9 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
     telemetry.train_seconds_total += et.train_seconds;
 
     bool stop = false;
-    if (!splits.val.empty()) {
+    if (eval_val) {
       Stopwatch eval_timer;
-      const EvalMetrics val = EvaluateModel(model, data, splits.val);
+      OPTINTER_ASSIGN_OR_RETURN(const EvalMetrics val, eval_val());
       et.eval_seconds = eval_timer.Elapsed();
       telemetry.eval_seconds_total += et.eval_seconds;
       summary.epoch_val_aucs.push_back(val.auc);
@@ -227,13 +208,8 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
         stale_epochs = 0;
         et.improved = true;
         telemetry.best_epoch = epoch;
-        if (!state.empty()) {
-          best_state.resize(state.size());
-          for (size_t i = 0; i < state.size(); ++i) {
-            best_state[i] = *state[i];
-          }
-          have_snapshot = true;
-        }
+        best_state.resize(state.size());
+        for (size_t i = 0; i < state.size(); ++i) best_state[i] = *state[i];
       } else if (options.patience > 0 && ++stale_epochs >= options.patience) {
         telemetry.early_stopped = true;
         stop = true;
@@ -255,35 +231,52 @@ TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
                  << " rows/s=" << et.train_rows_per_sec;
     }
     telemetry.epochs.push_back(et);
+    if (after_epoch) after_epoch(et);
     tick_report();
     if (stop) break;
   }
-  if (have_snapshot) {
+  if (!best_state.empty()) {
     for (size_t i = 0; i < state.size(); ++i) {
       *state[i] = std::move(best_state[i]);
     }
     telemetry.restored_best_snapshot = true;
-    if (!splits.val.empty()) {
-      Stopwatch eval_timer;
-      summary.final_val = EvaluateModel(model, data, splits.val);
-      telemetry.eval_seconds_total += eval_timer.Elapsed();
-    }
-  }
-  if (!splits.test.empty()) {
     Stopwatch eval_timer;
-    summary.final_test = EvaluateModel(model, data, splits.test);
+    OPTINTER_ASSIGN_OR_RETURN(summary.final_val, eval_val());
+    telemetry.eval_seconds_total += eval_timer.Elapsed();
+  }
+  if (eval_test) {
+    Stopwatch eval_timer;
+    OPTINTER_ASSIGN_OR_RETURN(summary.final_test, eval_test());
     telemetry.eval_seconds_total += eval_timer.Elapsed();
   }
   if (telemetry.train_seconds_total > 0.0) {
-    double rows_total = 0.0;
-    for (const EpochTelemetry& et : telemetry.epochs) {
-      rows_total += et.train_rows_per_sec * et.train_seconds;
-    }
     telemetry.train_rows_per_sec =
-        rows_total / telemetry.train_seconds_total;
+        static_cast<double>(rows_total) / telemetry.train_seconds_total;
   }
   summary.seconds = timer.Elapsed();
   return summary;
+}
+
+TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
+                        const Splits& splits, const TrainOptions& options) {
+  CHECK(!splits.train.empty());
+  Batcher batcher(&data, splits.train, options.batch_size, options.seed);
+  EvalFn eval_val;
+  EvalFn eval_test;
+  if (!splits.val.empty()) {
+    eval_val = [&] {
+      return Result<EvalMetrics>(EvaluateModel(model, data, splits.val));
+    };
+  }
+  if (!splits.test.empty()) {
+    eval_test = [&] {
+      return Result<EvalMetrics>(EvaluateModel(model, data, splits.test));
+    };
+  }
+  Result<TrainSummary> summary =
+      RunEpochLoop(model, &batcher, eval_val, eval_test, options);
+  CHECK_OK(summary.status());  // in-RAM batches and evals cannot fail
+  return std::move(summary).value();
 }
 
 obs::JsonValue EvalMetricsToJson(const EvalMetrics& metrics) {

@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,10 +54,6 @@ struct TrainOptions {
   /// on the serial path, and after every epoch) so long runs flush
   /// progress without waiting for the final write. Not owned.
   obs::RunReport* report = nullptr;
-  /// Live scrape endpoint for the duration of the TrainModel call
-  /// (obs/http_exporter.h): -1 = none (default), 0 = ephemeral port,
-  /// >0 = that port on loopback. Serves /metrics, /healthz, and /varz.
-  int metrics_port = -1;
 };
 
 /// AUC + log loss of one evaluation pass.
@@ -141,6 +138,28 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
 /// splits.test.
 TrainSummary TrainModel(CtrModel* model, const EncodedDataset& data,
                         const Splits& splits, const TrainOptions& options);
+
+/// One validation or test pass for RunEpochLoop.
+using EvalFn = std::function<Result<EvalMetrics>()>;
+
+/// The epoch loop behind TrainModel, both TrainModelStreamed overloads and
+/// the search stage (paper Algorithms 1 and 2). Each epoch runs
+/// `before_epoch(epoch)`, StartEpoch and every batch of `source` through
+/// the pipelined executor (options.pipeline and a phased model) or serial
+/// TrainStep, with `after_step()` at each step's quiescent point. A data
+/// error in `source` fails the run. Then `eval_val` (when set) scores the
+/// epoch for early stopping (options.patience, options.stop_metric), the
+/// best epoch's weights are snapshotted, and `after_epoch` sees the
+/// epoch's telemetry. At the end the best snapshot is restored and scored
+/// again, then `eval_test` (when set) runs. The caller builds `source`;
+/// of `options` only epochs, patience, stop_metric, verbose, pipeline and
+/// report are read.
+Result<TrainSummary> RunEpochLoop(
+    CtrModel* model, BatchSource* source, const EvalFn& eval_val,
+    const EvalFn& eval_test, const TrainOptions& options,
+    const std::function<void(size_t epoch)>& before_epoch = {},
+    const std::function<void()>& after_step = {},
+    const std::function<void(const EpochTelemetry&)>& after_epoch = {});
 
 /// JSON forms for run reports (obs/run_report.h). Field names mirror the
 /// struct members.

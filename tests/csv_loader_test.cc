@@ -136,6 +136,23 @@ TEST(CsvLoaderTest, MaxRowsCapsLoading) {
   EXPECT_EQ(raw->num_rows, 2u);
 }
 
+TEST(CsvLoaderTest, NonFiniteContinuousValueRejected) {
+  // 1e39 is a finite double but overflows float.
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "1e39"}) {
+    const std::string path =
+        WriteTemp("nonfinite.csv", std::string("site,device,hour,label\n"
+                                               "a,b,1,0\n"
+                                               "a,b,") +
+                                       bad + ",1\n");
+    auto raw = LoadCsvDataset(path, AdSchema());
+    ASSERT_FALSE(raw.ok()) << bad;
+    EXPECT_EQ(raw.status().code(), StatusCode::kInvalidArgument);
+    const std::string msg = raw.status().ToString();
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'hour'"), std::string::npos) << msg;
+  }
+}
+
 TEST(CsvLoaderTest, MissingLabelColumnRejected) {
   const std::string path = WriteTemp("nolabel.csv",
                                      "site,device,hour\na,b,1\n");

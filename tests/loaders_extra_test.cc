@@ -122,6 +122,20 @@ TEST(LibsvmLoaderTest, NonNumericValueRejected) {
             std::string::npos);
 }
 
+TEST(LibsvmLoaderTest, NonFiniteContinuousValueRejected) {
+  // 1e39 is a finite double but overflows float.
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "1e39"}) {
+    const std::string path = WriteTemp(
+        "k.svm", std::string("1 5:1 110:2\n0 5:1 110:") + bad + "\n");
+    auto raw = LoadLibsvmDataset(path, TwoCatOneContFields());
+    ASSERT_FALSE(raw.ok()) << bad;
+    EXPECT_EQ(raw.status().code(), StatusCode::kInvalidArgument);
+    const std::string msg = raw.status().ToString();
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'hour'"), std::string::npos) << msg;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AUC confidence intervals
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -115,6 +116,26 @@ TEST(RequestArenaTest, RejectsOutOfVocabIds) {
   req = RequestFromRow(p.data, p.splits.train[0]);
   req.cross_ids[0] = -1;
   EXPECT_EQ(arena.Append(req).code(), StatusCode::kOutOfRange);
+}
+
+TEST(RequestArenaTest, RejectsNonFiniteContinuousValues) {
+  const auto& p = SharedTinyData();
+  ASSERT_GT(p.data.num_continuous(), 0u);
+  RequestArena arena(p.data);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    PredictRequest req = RequestFromRow(p.data, p.splits.train[0]);
+    req.cont_values[0] = bad;
+    Status st = arena.Append(req);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find("continuous field 0"), std::string::npos)
+        << st.message();
+    EXPECT_EQ(arena.size(), 0u);
+  }
+  PredictRequest req = RequestFromRow(p.data, p.splits.train[0]);
+  req.cont_values[0] = std::numeric_limits<float>::max();
+  EXPECT_TRUE(arena.Append(req).ok());
 }
 
 TEST(SnapshotTest, RejectsNonReentrantModelUpFront) {
