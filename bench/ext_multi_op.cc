@@ -1,14 +1,12 @@
 // Multi-operation search-space extension (paper §II-C1): enlarge the
 // per-pair candidate set from {memorize, Hadamard, naïve} to
 // {memorize, Hadamard, inner product, naïve} and compare against the
-// paper's 3-way search. The searched per-pair operators are re-trained
-// with FixedArchModel's per-pair factorization functions.
+// paper's 3-way search. Both are one RunOptInter call; the 4-way search
+// re-trains each factorized pair with the operator it chose.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/fixed_arch_model.h"
-#include "core/multi_op_search.h"
 #include "core/pipeline.h"
 
 using namespace optinter;
@@ -19,6 +17,7 @@ int main(int argc, char** argv) {
   AddCommonFlags(&flags);
   int exit_code = 0;
   if (!ParseOrExit(&flags, argc, argv, &exit_code)) return exit_code;
+  BenchReport report("ext_multi_op", flags);
 
   for (const auto& name : DatasetList(flags, {"criteo_like"})) {
     PrepareOptions popts;
@@ -34,56 +33,33 @@ int main(int argc, char** argv) {
     ApplyOverrides(flags, &hp);
     TrainOptions topts = MakeTrainOptions(flags, hp);
 
-    PrintHeader("Multi-operation search space: " + name);
+    report.Section("Multi-operation search space: " + name);
 
-    // Baseline: the paper's 3-way search.
-    {
+    // The paper's 3-way search, then the 4-way search with a per-pair
+    // operator choice.
+    for (const bool multi_op : {false, true}) {
       SearchOptions sopts;
       sopts.search_epochs = hp.search_epochs;
       sopts.verbose = flags.GetBool("verbose");
+      if (multi_op) {
+        sopts.fns = {FactorizeFn::kHadamard, FactorizeFn::kInnerProduct};
+      }
       OptInterResult r = RunOptInter(p.data, p.splits, hp, sopts, topts);
-      PrintModelRow("OptInter(3way)", r.retrain.final_test.auc,
-                    r.retrain.final_test.logloss, r.param_count,
-                    ArchCountsToString(CountArchitecture(r.search.arch)));
-    }
-
-    // Extension: 4-way search with per-pair operator choice.
-    {
-      MultiOpSearchModel search(p.data, hp);
-      Batcher batcher(&p.data, p.splits.train, hp.batch_size, hp.seed);
-      const size_t epochs = hp.search_epochs;
-      for (size_t epoch = 0; epoch < epochs; ++epoch) {
-        const float frac = epochs > 1 ? static_cast<float>(epoch) /
-                                            static_cast<float>(epochs - 1)
-                                      : 1.0f;
-        search.SetTemperature(hp.gumbel_temp_start +
-                              frac * (hp.gumbel_temp_end -
-                                      hp.gumbel_temp_start));
-        batcher.StartEpoch();
-        for (;;) {
-          Batch b = batcher.Next();
-          if (b.size == 0) break;
-          search.TrainStep(b);
+      std::string extra = ArchCountsToString(CountArchitecture(r.search.arch));
+      if (multi_op) {
+        size_t hadamard = 0, inner = 0;
+        for (size_t q = 0; q < r.search.arch.size(); ++q) {
+          if (r.search.arch[q] == InterMethod::kFactorize) {
+            (r.search.fns[q] == FactorizeFn::kHadamard ? hadamard : inner)++;
+          }
         }
+        extra += StrFormat(" of which hadamard=%zu inner=%zu", hadamard,
+                           inner);
       }
-      MultiOpArchitecture arch = search.ExtractArchitecture();
-      size_t hadamard = 0, inner = 0;
-      for (size_t q = 0; q < arch.methods.size(); ++q) {
-        if (arch.methods[q] == InterMethod::kFactorize) {
-          (arch.fns[q] == FactorizeFn::kHadamard ? hadamard : inner)++;
-        }
-      }
-      FixedArchModel model(p.data, arch.methods, hp, "OptInter-multiop",
-                           /*memorized_triples=*/{}, arch.fns);
-      TrainSummary s = TrainModel(&model, p.data, p.splits, topts);
-      PrintModelRow(
-          "OptInter(4way)", s.final_test.auc, s.final_test.logloss,
-          model.ParamCount(),
-          StrFormat("%s of which hadamard=%zu inner=%zu",
-                    ArchCountsToString(CountArchitecture(arch.methods))
-                        .c_str(),
-                    hadamard, inner));
+      report.AddRow(multi_op ? "OptInter(4way)" : "OptInter(3way)",
+                    r.retrain.final_test.auc, r.retrain.final_test.logloss,
+                    r.param_count, extra);
     }
   }
-  return 0;
+  return report.Finish();
 }

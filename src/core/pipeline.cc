@@ -22,7 +22,7 @@ obs::SearchEpochDynamics SnapshotSearchDynamics(
   d.temperature = model.temperature();
   d.alpha_entropy_per_pair.resize(num_pairs);
   for (size_t p = 0; p < num_pairs; ++p) {
-    const std::array<float, 3> probs = model.PairProbabilities(p);
+    const std::vector<float> probs = model.PairProbabilities(p);
     double h = 0.0;
     for (const float q : probs) {
       if (q > 0.0f) h -= static_cast<double>(q) * std::log(q);
@@ -80,7 +80,7 @@ SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
                             const SearchOptions& options) {
   CHECK(!splits.train.empty());
   Stopwatch timer;
-  SearchModel model(data, hp, options.mode);
+  SearchModel model(data, hp, options.mode, options.fns);
   Batcher train_batcher(&data, splits.train, hp.batch_size, hp.seed);
   // Bi-level updates α on validation batches (DARTS-style); fall back to
   // train rows if no val split exists.
@@ -145,7 +145,7 @@ SearchResult RunSearchStage(const EncodedDataset& data, const Splits& splits,
   CHECK_OK(summary.status());  // in-RAM batches cannot fail
   result.telemetry = std::move(summary->telemetry);
 
-  result.arch = model.ExtractArchitecture();
+  result.arch = model.ExtractArchitecture(&result.fns);
   {
     Stopwatch eval_timer;
     if (!splits.val.empty()) {
@@ -167,7 +167,8 @@ OptInterResult RunOptInter(const EncodedDataset& data, const Splits& splits,
   OptInterResult result;
   result.search = RunSearchStage(data, splits, hp, search_options);
   FixedArchRun run = TrainFixedArch(data, splits, result.search.arch, hp,
-                                    train_options, "OptInter");
+                                    train_options, "OptInter",
+                                    result.search.fns);
   result.retrain = std::move(run.summary);
   result.param_count = run.param_count;
   return result;
@@ -184,8 +185,10 @@ Architecture RandomArchitecture(size_t num_pairs, Rng* rng) {
 FixedArchRun TrainFixedArch(const EncodedDataset& data, const Splits& splits,
                             const Architecture& arch, const HyperParams& hp,
                             const TrainOptions& options,
-                            const std::string& name) {
-  FixedArchModel model(data, arch, hp, name);
+                            const std::string& name,
+                            std::vector<FactorizeFn> pair_fns) {
+  FixedArchModel model(data, arch, hp, name, /*memorized_triples=*/{},
+                       std::move(pair_fns));
   FixedArchRun run;
   run.summary = TrainModel(&model, data, splits, options);
   run.param_count = model.ParamCount();

@@ -18,6 +18,10 @@ namespace optinter {
 struct SearchOptions {
   size_t search_epochs = 2;
   UpdateMode mode = UpdateMode::kJoint;
+  /// Factorization set F: each pair chooses among {memorize} ∪ F ∪
+  /// {naïve} (§II-C1). Empty means {HyperParams::factorize_fn}, the
+  /// paper's 3-way search.
+  std::vector<FactorizeFn> fns;
   /// Anneal the Gumbel-softmax temperature linearly across epochs from
   /// HyperParams::gumbel_temp_start to gumbel_temp_end.
   bool anneal_temperature = true;
@@ -39,6 +43,9 @@ struct SearchOptions {
 /// Outcome of the search stage.
 struct SearchResult {
   Architecture arch;
+  /// Chosen factorization function per pair (meaningful where arch
+  /// factorizes); RunOptInter re-trains with them.
+  std::vector<FactorizeFn> fns;
   /// Metrics of the (mixed-weights) search model itself — what you get if
   /// you skip re-training (Table IX "w.o." column).
   EvalMetrics search_val;
@@ -101,7 +108,8 @@ OptInterResult RunOptInter(const EncodedDataset& data, const Splits& splits,
 /// Uniformly random per-pair method assignment (Table VIII "Random").
 Architecture RandomArchitecture(size_t num_pairs, Rng* rng);
 
-/// Trains a FixedArchModel with the given architecture; returns the
+/// Trains a FixedArchModel with the given architecture (and optional
+/// per-pair factorization functions, see FixedArchModel); returns the
 /// summary and parameter count.
 struct FixedArchRun {
   TrainSummary summary;
@@ -110,7 +118,8 @@ struct FixedArchRun {
 FixedArchRun TrainFixedArch(const EncodedDataset& data, const Splits& splits,
                             const Architecture& arch, const HyperParams& hp,
                             const TrainOptions& options,
-                            const std::string& name = "OptInter");
+                            const std::string& name = "OptInter",
+                            std::vector<FactorizeFn> pair_fns = {});
 
 /// Ranks the dataset's built third-order triples by the *interaction
 /// lift* of their MI over the best constituent pair, and returns the

@@ -20,28 +20,31 @@ std::vector<size_t> AllPairIndices(const EncodedDataset& data) {
 }  // namespace
 
 SearchModel::SearchModel(const EncodedDataset& data, const HyperParams& hp,
-                         UpdateMode mode)
+                         UpdateMode mode, std::vector<FactorizeFn> fns)
     : data_(data),
       mode_(mode),
       s1_(hp.embed_dim),
       s2_(hp.cross_embed_dim),
-      fn_(hp.factorize_fn),
-      fact_width_(FactorizedWidth(hp.factorize_fn, hp.embed_dim)),
-      db_(std::max(FactorizedWidth(hp.factorize_fn, hp.embed_dim),
-                   hp.cross_embed_dim)),
+      fns_(std::move(fns)),
       tau_(hp.gumbel_temp_start),
       rng_(hp.seed),
       emb_(data, hp.embed_dim, hp.lr_orig, hp.l2_orig, &rng_,
            hp.orig_backend) {
   // Metadata-only datasets (vocab sizes without row payload) are fine.
   CHECK(!data.cross_vocab_sizes.empty()) << "search requires cross features";
+  if (fns_.empty()) fns_.push_back(hp.factorize_fn);
+  for (FactorizeFn fn : fns_) {
+    fn_widths_.push_back(FactorizedWidth(fn, s1_));
+    fact_width_ = std::max(fact_width_, fn_widths_.back());
+  }
+  db_ = std::max(fact_width_, s2_);
   cross_emb_ = std::make_unique<CrossEmbedding>(
       data, AllPairIndices(data), s2_, hp.lr_cross, hp.l2_cross, &rng_,
       hp.cross_backend);
   cat_pairs_ = EnumeratePairs(data.num_categorical());
 
   alpha_.name = "arch/alpha";
-  alpha_.Resize({data.num_pairs(), 3});
+  alpha_.Resize({data.num_pairs(), num_candidates()});
   // Near-uniform start with a tiny symmetric perturbation: pairs whose
   // gradients never separate the candidates resolve to an arbitrary
   // method, mirroring the paper's behaviour on uninformative pairs.
@@ -61,26 +64,34 @@ SearchModel::SearchModel(const EncodedDataset& data, const HyperParams& hp,
   mlp_->RegisterParams(&theta_opt_);
 }
 
-void SearchModel::SampleProbs(std::vector<float>* probs) {
+void SearchModel::SampleProbs() {
   OPTINTER_TRACE_SPAN("gumbel_sample");
   const size_t num_pairs = data_.num_pairs();
-  probs->resize(num_pairs * 3);
-  float noisy[3];
+  const size_t k = num_candidates();
+  probs_cache_.resize(num_pairs * k);
   for (size_t p = 0; p < num_pairs; ++p) {
     const float* a = alpha_.value.row(p);
-    for (int k = 0; k < 3; ++k) {
-      noisy[k] = (a[k] + static_cast<float>(rng_.Gumbel())) / tau_;
+    float* pr = probs_cache_.data() + p * k;
+    for (size_t c = 0; c < k; ++c) {
+      pr[c] = (a[c] + static_cast<float>(rng_.Gumbel())) / tau_;
     }
-    Softmax(3, noisy, probs->data() + p * 3);
+    Softmax(k, pr, pr);
   }
 }
 
-void SearchModel::AssembleForward(const Batch& batch,
-                                  const std::vector<float>& probs,
+void SearchModel::PairSoftmax(size_t p, float* out) const {
+  const float* a = alpha_.value.row(p);
+  const size_t k = num_candidates();
+  for (size_t c = 0; c < k; ++c) out[c] = a[c] / tau_;
+  Softmax(k, out, out);
+}
+
+void SearchModel::AssembleForward(size_t b, const std::vector<float>& probs,
                                   ForwardContext* ctx) const {
-  const size_t b = batch.size;
   const size_t emb_cols = ctx->emb_out.cols();
   const size_t num_pairs = data_.num_pairs();
+  const size_t k = num_candidates();
+  const size_t num_fns = fns_.size();
   Tensor& z = ctx->z;
   z.Resize({b, emb_cols + num_pairs * db_});
   auto assemble = [&](size_t lo, size_t hi) {
@@ -89,23 +100,26 @@ void SearchModel::AssembleForward(const Batch& batch,
     // across steps so steady-state steps don't allocate.
     static thread_local std::vector<float> fact;
     fact.resize(fact_width_);
-    for (size_t k = lo; k < hi; ++k) {
-      float* zr = z.row(k);
-      std::memcpy(zr, ctx->emb_out.row(k), emb_cols * sizeof(float));
-      const float* e = ctx->emb_out.row(k);
-      const float* cr = ctx->cross_out.row(k);
+    for (size_t r = lo; r < hi; ++r) {
+      float* zr = z.row(r);
+      std::memcpy(zr, ctx->emb_out.row(r), emb_cols * sizeof(float));
+      const float* e = ctx->emb_out.row(r);
+      const float* cr = ctx->cross_out.row(r);
       float* blocks = zr + emb_cols;
       std::memset(blocks, 0, num_pairs * db_ * sizeof(float));
       for (size_t p = 0; p < num_pairs; ++p) {
-        const float pm = probs[p * 3 + 0];
-        const float pf = probs[p * 3 + 1];
+        const float* pr = probs.data() + p * k;
+        const float pm = pr[0];
         float* block = blocks + p * db_;
         const float* mem = cr + p * s2_;
         for (size_t t = 0; t < s2_; ++t) block[t] += pm * mem[t];
         const auto [i, j] = cat_pairs_[p];
-        FactorizedForward(fn_, s1_, e + i * s1_, e + j * s1_, fact.data());
-        for (size_t t = 0; t < fact_width_; ++t) {
-          block[t] += pf * fact[t];
+        for (size_t f = 0; f < num_fns; ++f) {
+          FactorizedForward(fns_[f], s1_, e + i * s1_, e + j * s1_,
+                            fact.data());
+          const float pf = pr[1 + f];
+          const size_t width = fn_widths_[f];
+          for (size_t t = 0; t < width; ++t) block[t] += pf * fact[t];
         }
         // Naïve candidate is the zero vector: contributes nothing.
       }
@@ -122,60 +136,44 @@ void SearchModel::AssembleForward(const Batch& batch,
   }
   mlp_->Forward(z, &ctx->mlp_out, &ctx->mlp);
   ctx->logits.resize(b);
-  for (size_t k = 0; k < b; ++k) ctx->logits[k] = ctx->mlp_out.at(k, 0);
+  for (size_t r = 0; r < b; ++r) ctx->logits[r] = ctx->mlp_out.at(r, 0);
 }
 
-float SearchModel::ComputeForwardBackward(const Batch& batch,
-                                          const PreparedBatch* prep) {
-  SampleProbs(&probs_cache_);
-  if (prep != nullptr) {
-    emb_.ForwardPrepared(*prep, &ctx_.emb_out);
-    cross_emb_->ForwardPrepared(prep->cross, prep->size, &ctx_.cross_out);
-  } else {
-    emb_.Forward(batch, &ctx_.emb_out);
-    cross_emb_->Forward(batch, &ctx_.cross_out);
-  }
-  AssembleForward(batch, probs_cache_, &ctx_);
-  const size_t b = batch.size;
-  const float* labels;
-  if (prep != nullptr) {
-    labels = prep->labels.data();
-  } else {
-    labels_.resize(b);
-    for (size_t k = 0; k < b; ++k) labels_[k] = batch.label(k);
-    labels = labels_.data();
-  }
+float SearchModel::ComputeForwardBackward(size_t b, const float* labels) {
+  AssembleForward(b, probs_cache_, &ctx_);
   dlogits_.resize(b);
   const float loss = BceWithLogitsLoss(ctx_.logits.data(), labels, b,
                                        dlogits_.data());
 
   dmlp_out_.Resize({b, 1});
-  for (size_t k = 0; k < b; ++k) dmlp_out_.at(k, 0) = dlogits_[k];
+  for (size_t r = 0; r < b; ++r) dmlp_out_.at(r, 0) = dlogits_[r];
   mlp_->Backward(dmlp_out_, &dz_, &ctx_.mlp);
 
   const size_t emb_cols = ctx_.emb_out.cols();
   const size_t num_pairs = data_.num_pairs();
+  const size_t k = num_candidates();
+  const size_t num_fns = fns_.size();
   demb_.Resize({b, emb_cols});
   dcross_.Resize({b, ctx_.cross_out.cols()});
   // d(loss)/d(candidate probability), accumulated over the batch.
-  dp_.assign(num_pairs * 3, 0.0);
+  dp_.assign(num_pairs * k, 0.0);
   // Per-row demb/dcross writes are disjoint; dp is a reduction over rows
   // accumulated into `dp_acc` (the shared vector on the serial path,
   // per-chunk partials on the parallel one).
   auto body = [&](size_t lo, size_t hi, double* dp_acc) {
     static thread_local std::vector<float> fact;
     fact.resize(fact_width_);
-    for (size_t k = lo; k < hi; ++k) {
-      const float* dzr = dz_.row(k);
-      std::memcpy(demb_.row(k), dzr, emb_cols * sizeof(float));
-      const float* e = ctx_.emb_out.row(k);
-      const float* cr = ctx_.cross_out.row(k);
-      float* de = demb_.row(k);
-      float* dcr = dcross_.row(k);
+    for (size_t r = lo; r < hi; ++r) {
+      const float* dzr = dz_.row(r);
+      std::memcpy(demb_.row(r), dzr, emb_cols * sizeof(float));
+      const float* e = ctx_.emb_out.row(r);
+      const float* cr = ctx_.cross_out.row(r);
+      float* de = demb_.row(r);
+      float* dcr = dcross_.row(r);
       const float* dblocks = dzr + emb_cols;
       for (size_t p = 0; p < num_pairs; ++p) {
-        const float pm = probs_cache_[p * 3 + 0];
-        const float pf = probs_cache_[p * 3 + 1];
+        const float* pr = probs_cache_.data() + p * k;
+        const float pm = pr[0];
         const float* dblock = dblocks + p * db_;
         const float* mem = cr + p * s2_;
         float* dmem = dcr + p * s2_;
@@ -184,18 +182,21 @@ float SearchModel::ComputeForwardBackward(const Batch& batch,
           dpm += static_cast<double>(dblock[t]) * mem[t];
           dmem[t] = pm * dblock[t];
         }
+        dp_acc[p * k] += dpm;
         const auto [i, j] = cat_pairs_[p];
         const float* ei = e + i * s1_;
         const float* ej = e + j * s1_;
-        FactorizedForward(fn_, s1_, ei, ej, fact.data());
-        double dpf = 0.0;
-        for (size_t t = 0; t < fact_width_; ++t) {
-          dpf += static_cast<double>(dblock[t]) * fact[t];
+        for (size_t f = 0; f < num_fns; ++f) {
+          FactorizedForward(fns_[f], s1_, ei, ej, fact.data());
+          const size_t width = fn_widths_[f];
+          double dpf = 0.0;
+          for (size_t t = 0; t < width; ++t) {
+            dpf += static_cast<double>(dblock[t]) * fact[t];
+          }
+          FactorizedBackward(fns_[f], s1_, ei, ej, dblock, pr[1 + f],
+                             de + i * s1_, de + j * s1_);
+          dp_acc[p * k + 1 + f] += dpf;
         }
-        FactorizedBackward(fn_, s1_, ei, ej, dblock, pf, de + i * s1_,
-                           de + j * s1_);
-        dp_acc[p * 3 + 0] += dpm;
-        dp_acc[p * 3 + 1] += dpf;
         // dp for naïve stays 0: its candidate embedding is the zero vector.
       }
     }
@@ -206,14 +207,14 @@ float SearchModel::ComputeForwardBackward(const Batch& batch,
     if (b * (emb_cols + num_pairs * db_) >= (1u << 15) && grid.count > 1) {
       // Per-chunk dp partials merged in chunk order: the fixed grid keeps
       // the summation tree independent of the thread count.
-      dp_partials_.assign(grid.count * num_pairs * 3, 0.0);
+      dp_partials_.assign(grid.count * num_pairs * k, 0.0);
       ParallelForEachChunk(grid, [&](size_t i) {
         body(grid.lo(i), grid.hi(i),
-             dp_partials_.data() + i * num_pairs * 3);
+             dp_partials_.data() + i * num_pairs * k);
       });
       for (size_t i = 0; i < grid.count; ++i) {
-        const double* part = dp_partials_.data() + i * num_pairs * 3;
-        for (size_t idx = 0; idx < num_pairs * 3; ++idx) {
+        const double* part = dp_partials_.data() + i * num_pairs * k;
+        for (size_t idx = 0; idx < num_pairs * k; ++idx) {
           dp_[idx] += part[idx];
         }
       }
@@ -227,23 +228,15 @@ float SearchModel::ComputeForwardBackward(const Batch& batch,
   {
     OPTINTER_TRACE_SPAN("alpha_bwd");
     for (size_t p = 0; p < num_pairs; ++p) {
-      const float* pr = probs_cache_.data() + p * 3;
-      const double* dpr = dp_.data() + p * 3;
+      const float* pr = probs_cache_.data() + p * k;
+      const double* dpr = dp_.data() + p * k;
       double weighted = 0.0;
-      for (int k = 0; k < 3; ++k) weighted += pr[k] * dpr[k];
+      for (size_t c = 0; c < k; ++c) weighted += pr[c] * dpr[c];
       float* da = alpha_.grad.row(p);
-      for (int k = 0; k < 3; ++k) {
-        da[k] += static_cast<float>(pr[k] * (dpr[k] - weighted) / tau_);
+      for (size_t c = 0; c < k; ++c) {
+        da[c] += static_cast<float>(pr[c] * (dpr[c] - weighted) / tau_);
       }
     }
-  }
-
-  if (prep != nullptr) {
-    emb_.BackwardPrepared(demb_, *prep);
-    cross_emb_->BackwardPrepared(dcross_, prep->cross);
-  } else {
-    emb_.Backward(demb_);
-    cross_emb_->Backward(dcross_);
   }
   return loss;
 }
@@ -265,7 +258,13 @@ void SearchModel::PrepareBatch(const Batch& batch,
 
 float SearchModel::ForwardBackward(const PreparedBatch& prep) {
   OPTINTER_TRACE_SPAN("search_step");
-  return ComputeForwardBackward(prep.AsBatch(), &prep);
+  SampleProbs();
+  emb_.ForwardPrepared(prep, &ctx_.emb_out);
+  cross_emb_->ForwardPrepared(prep.cross, prep.size, &ctx_.cross_out);
+  const float loss = ComputeForwardBackward(prep.size, prep.labels.data());
+  emb_.BackwardPrepared(demb_, prep);
+  cross_emb_->BackwardPrepared(dcross_, prep.cross);
+  return loss;
 }
 
 void SearchModel::ApplyGrads() {
@@ -280,11 +279,15 @@ void SearchModel::ApplyGrads() {
 
 float SearchModel::ArchStep(const Batch& batch) {
   OPTINTER_TRACE_SPAN("search_step");
-  // α-only update on the legacy (unprepared) path: Θ gradients are
-  // computed but discarded.
-  const float loss = ComputeForwardBackward(batch, nullptr);
-  emb_.ClearGrads();
-  cross_emb_->ClearGrads();
+  // α-only update. α's gradient is complete once the interaction block
+  // has run, so the embeddings are read through the const Gather and the
+  // embedding scatter is skipped; the MLP's Θ gradients are discarded.
+  SampleProbs();
+  emb_.Gather(batch, &ctx_.emb_out);
+  cross_emb_->Gather(batch, &ctx_.cross_out);
+  labels_.resize(batch.size);
+  for (size_t r = 0; r < batch.size; ++r) labels_[r] = batch.label(r);
+  const float loss = ComputeForwardBackward(batch.size, labels_.data());
   theta_opt_.ZeroGrad();
   arch_opt_.Step();
   arch_opt_.ZeroGrad();
@@ -299,19 +302,14 @@ void SearchModel::Predict(const Batch& batch, std::vector<float>* probs,
                           ForwardContext* ctx) const {
   // Noise-free expectation: p = softmax(α/τ).
   const size_t num_pairs = data_.num_pairs();
-  std::vector<float> p(num_pairs * 3);
-  float scaled[3];
-  for (size_t q = 0; q < num_pairs; ++q) {
-    const float* a = alpha_.value.row(q);
-    for (int k = 0; k < 3; ++k) scaled[k] = a[k] / tau_;
-    Softmax(3, scaled, p.data() + q * 3);
-  }
-  // Gather (not Forward): eval never scatters gradients, so the embedding
-  // layers' batch-row caches stay untouched and concurrent calls with
-  // distinct contexts share only immutable parameters.
+  const size_t k = num_candidates();
+  std::vector<float> p(num_pairs * k);
+  for (size_t q = 0; q < num_pairs; ++q) PairSoftmax(q, p.data() + q * k);
+  // Gather reads only immutable parameters, so concurrent calls with
+  // distinct contexts are safe.
   emb_.Gather(batch, &ctx->emb_out);
   cross_emb_->Gather(batch, &ctx->cross_out);
-  AssembleForward(batch, p, ctx);
+  AssembleForward(batch.size, p, ctx);
   probs->resize(batch.size);
   SigmoidForward(ctx->logits.data(), batch.size, probs->data());
 }
@@ -328,26 +326,34 @@ size_t SearchModel::ParamCount() const {
          mlp_->ParamCount() + alpha_.size();
 }
 
-Architecture SearchModel::ExtractArchitecture() const {
-  Architecture arch(data_.num_pairs());
-  for (size_t p = 0; p < data_.num_pairs(); ++p) {
+Architecture SearchModel::ExtractArchitecture(
+    std::vector<FactorizeFn>* fns) const {
+  const size_t num_pairs = data_.num_pairs();
+  const size_t k = num_candidates();
+  Architecture arch(num_pairs);
+  if (fns != nullptr) fns->assign(num_pairs, fns_.front());
+  for (size_t p = 0; p < num_pairs; ++p) {
     const float* a = alpha_.value.row(p);
-    int best = 0;
-    for (int k = 1; k < 3; ++k) {
-      if (a[k] > a[best]) best = k;
+    size_t best = 0;
+    for (size_t c = 1; c < k; ++c) {
+      if (a[c] > a[best]) best = c;
     }
-    arch[p] = static_cast<InterMethod>(best);
+    if (best == 0) {
+      arch[p] = InterMethod::kMemorize;
+    } else if (best == k - 1) {
+      arch[p] = InterMethod::kNaive;
+    } else {
+      arch[p] = InterMethod::kFactorize;
+      if (fns != nullptr) (*fns)[p] = fns_[best - 1];
+    }
   }
   return arch;
 }
 
-std::array<float, 3> SearchModel::PairProbabilities(size_t p) const {
+std::vector<float> SearchModel::PairProbabilities(size_t p) const {
   CHECK_LT(p, data_.num_pairs());
-  const float* a = alpha_.value.row(p);
-  float scaled[3];
-  for (int k = 0; k < 3; ++k) scaled[k] = a[k] / tau_;
-  std::array<float, 3> out;
-  Softmax(3, scaled, out.data());
+  std::vector<float> out(num_candidates());
+  PairSoftmax(p, out.data());
   return out;
 }
 

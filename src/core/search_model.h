@@ -1,15 +1,17 @@
 // OptInter search-stage model (paper §II-C, Algorithm 1).
 //
-// Every categorical pair owns architecture logits a_(i,j) ∈ R³ over
-// {memorize, factorize, naïve}. During training the discrete choice is
-// relaxed with the Gumbel-softmax trick (Eq. 16–17):
+// Every categorical pair owns architecture logits a_(i,j) ∈ R^K over the
+// candidates {memorize} ∪ F ∪ {naïve}, where F is a set of factorization
+// functions: the paper's F = {Hadamard} (K = 3), or a larger set for the
+// multi-operation extension of §II-C1. During training the discrete
+// choice is relaxed with the Gumbel-softmax trick (Eq. 16–17):
 //
 //   p_k = softmax_k( (a_k + g_k) / τ ),  g_k ~ Gumbel(0,1) i.i.d.
 //
-// and the combination block outputs the p-weighted sum of the three
+// and the combination block outputs the p-weighted sum of the K
 // candidate embeddings (Eq. 18), zero-padded to a common width
-// d_b = max(s1, s2) so the sum is well-typed (the naïve candidate is the
-// zero vector, matching the paper's e^n).
+// d_b = max(s2, max_f width(f)) so the sum is well-typed (the naïve
+// candidate is the zero vector, matching the paper's e^n).
 //
 // Model parameters Θ and architecture parameters α are optimized
 // *jointly* by default (the paper's choice); the bi-level alternative
@@ -18,8 +20,8 @@
 
 #pragma once
 
-#include <array>
 #include <memory>
+#include <vector>
 
 #include "models/cross_embedding.h"
 #include "models/feature_embedding.h"
@@ -42,8 +44,10 @@ enum class UpdateMode {
 /// The differentiable search-stage model.
 class SearchModel : public CtrModel {
  public:
+  /// `fns` is the factorization set F; empty means {hp.factorize_fn}.
   SearchModel(const EncodedDataset& data, const HyperParams& hp,
-              UpdateMode mode = UpdateMode::kJoint);
+              UpdateMode mode = UpdateMode::kJoint,
+              std::vector<FactorizeFn> fns = {});
 
   std::string Name() const override {
     return mode_ == UpdateMode::kJoint ? "OptInter-search"
@@ -63,6 +67,8 @@ class SearchModel : public CtrModel {
   void ApplyGrads() override;
 
   /// Bi-level only: one α-update step (typically on a validation batch).
+  /// Reads embeddings through the const Gather and leaves every Θ
+  /// parameter untouched.
   float ArchStep(const Batch& batch);
 
   /// Eval-time prediction: expectation under softmax(α/τ), no noise.
@@ -84,43 +90,55 @@ class SearchModel : public CtrModel {
   }
   float temperature() const { return tau_; }
 
-  /// Selected method per pair: argmax_k α_(i,j)^k (paper Eq. 19).
-  Architecture ExtractArchitecture() const;
+  /// Selected method per pair: argmax_k α_(i,j)^k (paper Eq. 19). When
+  /// `fns` is non-null it receives each pair's chosen factorization
+  /// function (F's first entry for pairs that do not factorize).
+  Architecture ExtractArchitecture(
+      std::vector<FactorizeFn>* fns = nullptr) const;
 
-  /// Current selection probabilities softmax(α/τ) for pair `p`.
-  std::array<float, 3> PairProbabilities(size_t p) const;
+  /// Current selection probabilities softmax(α/τ) for pair `p`, in
+  /// candidate order {memorize, F..., naïve}.
+  std::vector<float> PairProbabilities(size_t p) const;
+
+  /// Candidates per pair: K = |F| + 2.
+  size_t num_candidates() const { return fns_.size() + 2; }
 
   /// Raw architecture logits (tests / diagnostics).
   const DenseParam& alpha() const { return alpha_; }
   DenseParam& mutable_alpha() { return alpha_; }
 
  private:
+  /// softmax(α_p / τ) for pair `p`, written to out[0:K].
+  void PairSoftmax(size_t p, float* out) const;
+
   /// Shared tail of the forward pass: assembles z from ctx->emb_out /
   /// ctx->cross_out, runs the MLP, fills ctx->logits. Touches only `ctx`.
-  void AssembleForward(const Batch& batch, const std::vector<float>& probs,
+  void AssembleForward(size_t b, const std::vector<float>& probs,
                        ForwardContext* ctx) const;
 
-  /// Computes per-pair probabilities with fresh Gumbel noise.
-  void SampleProbs(std::vector<float>* probs);
+  /// Fills probs_cache_ with per-pair probabilities under fresh Gumbel
+  /// noise.
+  void SampleProbs();
 
-  /// Gumbel sample + forward + loss + backward (Θ and α gradients left
-  /// accumulated). With `prep` non-null the prepared gather/scatter path
-  /// is used; otherwise the legacy batch path (ArchStep).
-  float ComputeForwardBackward(const Batch& batch, const PreparedBatch* prep);
+  /// Forward from the embeddings already in ctx_, loss, and backward
+  /// through the MLP and the interaction block: α's gradient is left
+  /// accumulated, the embedding gradients land in demb_ / dcross_.
+  float ComputeForwardBackward(size_t b, const float* labels);
 
   const EncodedDataset& data_;
   UpdateMode mode_;
   size_t s1_;
   size_t s2_;
-  FactorizeFn fn_;
-  size_t fact_width_;
-  size_t db_;  // candidate width max(factorized width, s2)
+  std::vector<FactorizeFn> fns_;  // F: candidates 1..|F|
+  std::vector<size_t> fn_widths_;  // FactorizedWidth of each fn in F
+  size_t fact_width_ = 0;  // widest fn in F
+  size_t db_ = 0;  // candidate width max(fact_width_, s2)
   float tau_ = 1.0f;
   Rng rng_;
   FeatureEmbedding emb_;
   std::unique_ptr<CrossEmbedding> cross_emb_;  // all pairs
   std::unique_ptr<Mlp> mlp_;
-  DenseParam alpha_;  // [P × 3] logits, order {m, f, n}
+  DenseParam alpha_;  // [P × K] logits, order {m, F..., n}
   Adam theta_opt_;
   Adam arch_opt_;
 
@@ -133,8 +151,8 @@ class SearchModel : public CtrModel {
   // DESIGN.md).
   ForwardContext ctx_;
   PreparedBatch own_prep_;  // used by the plain (serial) TrainStep
-  std::vector<float> probs_cache_;
-  std::vector<float> labels_;
+  std::vector<float> probs_cache_;  // [P × K] sampled probabilities
+  std::vector<float> labels_;       // ArchStep's batch labels
   std::vector<float> dlogits_;
   Tensor dmlp_out_;
   Tensor dz_;

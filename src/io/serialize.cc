@@ -216,14 +216,19 @@ Result<Architecture> LoadArchitecture(const std::string& path) {
   Architecture arch;
   std::string line;
   size_t expected = 0;
+  size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     std::string_view trimmed = Trim(line);
     if (trimmed.empty()) continue;
     std::istringstream is{std::string(trimmed)};
     size_t index = 0;
     std::string method;
-    if (!(is >> index >> method)) {
-      return Status::Invalid("malformed architecture line: '" + line + "'");
+    std::string extra;
+    if (!(is >> index >> method) || (is >> extra)) {
+      return Status::Invalid(StrFormat("malformed architecture line %zu: '",
+                                       line_no) +
+                             line + "'");
     }
     if (index != expected) {
       return Status::Invalid(

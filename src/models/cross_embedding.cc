@@ -181,10 +181,6 @@ void CrossEmbedding::Step(const AdamConfig& config) {
   for (auto& t : tables_) t->SparseAdamStep(config);
 }
 
-void CrossEmbedding::ClearGrads() {
-  for (auto& t : tables_) t->ClearGrads();
-}
-
 void CrossEmbedding::CollectState(std::vector<Tensor*>* out) {
   for (auto& t : tables_) out->push_back(&t->mutable_values());
 }

@@ -65,7 +65,6 @@ class CrossEmbedding {
   void StepPrepared(const AdamConfig& config = {});
 
   void Step(const AdamConfig& config = {});
-  void ClearGrads();
 
   size_t ParamCount() const;
 

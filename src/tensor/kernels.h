@@ -86,8 +86,9 @@ void HadamardAccum(size_t n, const float* x, const float* y, float* out);
 /// Sum of n elements (fixed reduction order, see Dot).
 float Sum(size_t n, const float* x);
 
-/// Numerically-stable softmax of `logits` (length n) into `probs`.
-/// CHECK-fails on n == 0 (same contract as LogSumExp).
+/// Numerically-stable softmax of `logits` (length n) into `probs`; the
+/// two may alias (in-place). CHECK-fails on n == 0 (same contract as
+/// LogSumExp).
 void Softmax(size_t n, const float* logits, float* probs);
 
 /// Numerically-stable log-sum-exp of n values. CHECK-fails on n == 0.

@@ -29,18 +29,6 @@ EvalMetrics EvaluateModel(CtrModel* model, const EncodedDataset& data,
   OPTINTER_TRACE_SPAN("evaluate");
   CHECK(!rows.empty());
   CHECK_GT(options.batch_size, 0u);
-  // Fail at the call site, not deep inside a worker: a model without the
-  // const re-entrant Predict overload cannot be evaluated batch-parallel,
-  // and callers that opted out of the silent serial fallback want to know
-  // immediately.
-  if (options.parallel && !options.allow_serial_fallback) {
-    CHECK(model->SupportsReentrantPredict())
-        << model->Name()
-        << " does not implement the const re-entrant Predict(batch, probs, "
-           "ctx) overload, so parallel evaluation would silently fall back "
-           "to the serial path; set EvalOptions::allow_serial_fallback or "
-           "implement the overload";
-  }
   const size_t n = rows.size();
   obs::MetricsRegistry::Global().GetCounter("eval.rows")->Add(n);
   std::vector<float> all_probs(n);

@@ -74,12 +74,6 @@ struct EvalOptions {
   /// Models without re-entrant Predict fall back to in-order batches on
   /// the calling thread (the kernels inside Predict still use the pool).
   bool parallel = true;
-  /// When false, a parallel evaluation of a model WITHOUT re-entrant
-  /// Predict fails up front (CHECK with an actionable message) instead of
-  /// silently degrading to the serial path — callers that depend on
-  /// batch-parallel eval throughput (the serving layer, latency benches)
-  /// set this to make the degradation loud.
-  bool allow_serial_fallback = true;
 };
 
 /// Per-epoch wall-clock and throughput record. TrainStep fuses forward,

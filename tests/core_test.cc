@@ -203,6 +203,29 @@ TEST(SearchModelTest, LossDecreases) {
   EXPECT_LT(last, first);
 }
 
+TEST(SearchModelTest, ArchStepChangesOnlyAlpha) {
+  const auto& p = SharedTinyData();
+  SearchModel model(p.data, TinyHp(), UpdateMode::kBilevel);
+  Batch b = HeadBatch(p, 128);
+  model.TrainStep(b);  // Θ and its optimizer state are past their init
+  std::vector<Tensor*> state;
+  model.CollectState(&state);
+  std::vector<Tensor> before;
+  for (const Tensor* t : state) before.push_back(*t);
+  for (int i = 0; i < 3; ++i) model.ArchStep(HeadBatch(p, 256));
+  for (size_t i = 0; i < state.size(); ++i) {
+    const Tensor& now = *state[i];
+    ASSERT_EQ(now.size(), before[i].size());
+    const bool same = std::memcmp(now.data(), before[i].data(),
+                                  now.size() * sizeof(float)) == 0;
+    if (state[i] == &model.alpha().value) {
+      EXPECT_FALSE(same) << "ArchStep must move alpha";
+    } else {
+      EXPECT_TRUE(same) << "state tensor " << i << " changed";
+    }
+  }
+}
+
 TEST(SearchModelTest, ParamCountIncludesAlpha) {
   const auto& p = SharedTinyData();
   SearchModel model(p.data, TinyHp());

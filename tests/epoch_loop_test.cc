@@ -145,6 +145,7 @@ TEST(ReferenceLoopTest, TrainModelSerialMatchesHandWrittenLoop) {
 
 struct ReferenceSearch {
   Architecture arch;
+  std::vector<FactorizeFn> fns;
   std::vector<double> losses;
   std::vector<float> temperatures;
   std::vector<std::vector<double>> alpha_entropy;  // per epoch, per pair
@@ -161,7 +162,7 @@ struct ReferenceSearch {
 ReferenceSearch RunReferenceSearch(const testing::PreparedData& p,
                                    const HyperParams& hp,
                                    const SearchOptions& options) {
-  SearchModel model(p.data, hp, options.mode);
+  SearchModel model(p.data, hp, options.mode, options.fns);
   Batcher train(&p.data, p.splits.train, hp.batch_size, hp.seed);
   Batcher arch_batches(&p.data, p.splits.val, hp.batch_size,
                        hp.seed ^ 0xa5c3ULL);
@@ -214,7 +215,7 @@ ReferenceSearch RunReferenceSearch(const testing::PreparedData& p,
     out.alpha_entropy.push_back(
         SnapshotSearchDynamics(model, epoch, {}, arch).alpha_entropy_per_pair);
   }
-  out.arch = model.ExtractArchitecture();
+  out.arch = model.ExtractArchitecture(&out.fns);
   out.val = EvaluateModel(&model, p.data, p.splits.val);
   out.test = EvaluateModel(&model, p.data, p.splits.test);
   return out;
@@ -239,6 +240,7 @@ void CheckSearchMatchesReference(const SearchOptions& options) {
     ThreadPool::SetGlobalThreads(threads);
     const SearchResult r = RunSearchStage(p.data, p.splits, hp, options);
     EXPECT_EQ(r.arch, ref.arch);
+    EXPECT_EQ(r.fns, ref.fns);
     ASSERT_EQ(r.telemetry.epochs.size(), ref.losses.size());
     ASSERT_EQ(r.dynamics.epochs.size(), ref.losses.size());
     for (size_t e = 0; e < ref.losses.size(); ++e) {
@@ -277,6 +279,26 @@ TEST(ReferenceLoopTest, JointSerialSearchMatchesHandWrittenLoop) {
   SearchOptions options;
   options.search_epochs = 3;
   options.mode = UpdateMode::kJoint;
+  options.pipeline = false;
+  options.alpha_sample_every = 3;
+  CheckSearchMatchesReference(options);
+}
+
+// The multi-operation search set F = {Hadamard, inner}: K = 4 candidates
+// per pair through the same executor and interaction loops.
+TEST(ReferenceLoopTest, MultiOpPipelinedSearchMatchesHandWrittenLoop) {
+  SearchOptions options;
+  options.search_epochs = 3;
+  options.fns = {FactorizeFn::kHadamard, FactorizeFn::kInnerProduct};
+  options.pipeline = true;
+  options.alpha_sample_every = 2;
+  CheckSearchMatchesReference(options);
+}
+
+TEST(ReferenceLoopTest, MultiOpSerialSearchMatchesHandWrittenLoop) {
+  SearchOptions options;
+  options.search_epochs = 3;
+  options.fns = {FactorizeFn::kHadamard, FactorizeFn::kInnerProduct};
   options.pipeline = false;
   options.alpha_sample_every = 3;
   CheckSearchMatchesReference(options);

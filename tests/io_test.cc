@@ -237,6 +237,15 @@ TEST(ArchIoTest, MalformedRejected) {
   const std::string path = TempPath("bad_arch.txt");
   std::ofstream(path) << "0 memorize\n1 telepathize\n";
   EXPECT_FALSE(LoadArchitecture(path).ok());
+  // Trailing tokens after the method are rejected, naming the line.
+  std::ofstream(path) << "0 memorize\n1 naive junk\n";
+  const auto trailing = LoadArchitecture(path);
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(trailing.status().message().find("line 2"), std::string::npos)
+      << trailing.status().ToString();
+  std::ofstream(path) << "0 memorize junk\n";
+  EXPECT_FALSE(LoadArchitecture(path).ok());
 }
 
 TEST(ArchIoTest, OutOfOrderRejected) {

@@ -1,9 +1,10 @@
-// Tests for the multi-operation search-space extension.
+// Tests for the multi-operation search-space extension: SearchModel with
+// a factorization set F of more than one function.
 
 #include <gtest/gtest.h>
 
 #include "core/fixed_arch_model.h"
-#include "core/multi_op_search.h"
+#include "core/search_model.h"
 #include "test_data.h"
 #include "train/trainer.h"
 
@@ -19,15 +20,26 @@ HyperParams TinyHp() {
   return hp;
 }
 
+// The search set the multi-operation benchmark uses.
+const std::vector<FactorizeFn> kMultiOpFns = {FactorizeFn::kHadamard,
+                                               FactorizeFn::kInnerProduct};
+
+SearchModel MultiOpModel(const HyperParams& hp) {
+  return SearchModel(SharedTinyData().data, hp, UpdateMode::kJoint,
+                     kMultiOpFns);
+}
+
 TEST(MultiOpSearchTest, DefaultHasFourCandidates) {
   const auto& p = SharedTinyData();
-  MultiOpSearchModel model(p.data, TinyHp());
+  SearchModel model = MultiOpModel(TinyHp());
   EXPECT_EQ(model.num_candidates(), 4u);
+  EXPECT_EQ(model.alpha().value.cols(), 4u);
+  EXPECT_EQ(model.alpha().value.rows(), p.data.num_pairs());
 }
 
 TEST(MultiOpSearchTest, TrainsAndExtracts) {
   const auto& p = SharedTinyData();
-  MultiOpSearchModel model(p.data, TinyHp());
+  SearchModel model = MultiOpModel(TinyHp());
   Batch b = HeadBatch(p, 256);
   float first = 0.0f, last = 0.0f;
   for (int i = 0; i < 20; ++i) {
@@ -37,14 +49,15 @@ TEST(MultiOpSearchTest, TrainsAndExtracts) {
     last = loss;
   }
   EXPECT_LT(last, first);
-  MultiOpArchitecture arch = model.ExtractArchitecture();
-  EXPECT_EQ(arch.methods.size(), p.data.num_pairs());
-  EXPECT_EQ(arch.fns.size(), p.data.num_pairs());
+  std::vector<FactorizeFn> fns;
+  Architecture arch = model.ExtractArchitecture(&fns);
+  EXPECT_EQ(arch.size(), p.data.num_pairs());
+  EXPECT_EQ(fns.size(), p.data.num_pairs());
 }
 
 TEST(MultiOpSearchTest, PredictionsValid) {
   const auto& p = SharedTinyData();
-  MultiOpSearchModel model(p.data, TinyHp());
+  SearchModel model = MultiOpModel(TinyHp());
   Batch b = HeadBatch(p, 64);
   std::vector<float> probs;
   model.Predict(b, &probs);
@@ -55,8 +68,7 @@ TEST(MultiOpSearchTest, PredictionsValid) {
 }
 
 TEST(MultiOpSearchTest, StateCoversEveryParameter) {
-  const auto& p = SharedTinyData();
-  MultiOpSearchModel model(p.data, TinyHp());
+  SearchModel model = MultiOpModel(TinyHp());
   std::vector<Tensor*> state;
   model.CollectState(&state);
   size_t total = 0;
@@ -66,24 +78,27 @@ TEST(MultiOpSearchTest, StateCoversEveryParameter) {
 
 TEST(MultiOpSearchTest, SingleFnReducesToThreeWay) {
   const auto& p = SharedTinyData();
-  MultiOpSearchModel model(p.data, TinyHp(), {FactorizeFn::kHadamard});
+  SearchModel model(p.data, TinyHp(), UpdateMode::kJoint,
+                    {FactorizeFn::kHadamard});
   EXPECT_EQ(model.num_candidates(), 3u);
-  MultiOpArchitecture arch = model.ExtractArchitecture();
-  for (size_t q = 0; q < arch.fns.size(); ++q) {
-    EXPECT_EQ(arch.fns[q], FactorizeFn::kHadamard);
+  std::vector<FactorizeFn> fns;
+  model.ExtractArchitecture(&fns);
+  for (size_t q = 0; q < fns.size(); ++q) {
+    EXPECT_EQ(fns[q], FactorizeFn::kHadamard);
   }
 }
 
 TEST(MultiOpSearchTest, SearchedArchRetrainsWithPerPairFns) {
   const auto& p = SharedTinyData();
   HyperParams hp = TinyHp();
-  MultiOpSearchModel search(p.data, hp);
+  SearchModel search = MultiOpModel(hp);
   Batch b = HeadBatch(p, 256);
   for (int i = 0; i < 30; ++i) search.TrainStep(b);
-  MultiOpArchitecture arch = search.ExtractArchitecture();
+  std::vector<FactorizeFn> fns;
+  Architecture arch = search.ExtractArchitecture(&fns);
 
-  FixedArchModel model(p.data, arch.methods, hp, "multi",
-                       /*memorized_triples=*/{}, arch.fns);
+  FixedArchModel model(p.data, arch, hp, "multi",
+                       /*memorized_triples=*/{}, fns);
   TrainOptions topts;
   topts.epochs = 2;
   topts.batch_size = 256;
